@@ -1,0 +1,37 @@
+//! Order statistics over measured samples.
+
+/// The `q` quantile (0..=1) of `values`, interpolating between ranks.
+/// Returns 0 for no values.
+pub fn quantile(values: &[f64], q: f64) -> f64 {
+    if values.is_empty() {
+        return 0.0;
+    }
+    let mut v = values.to_vec();
+    v.sort_by(f64::total_cmp);
+    let pos = q.clamp(0.0, 1.0) * (v.len() - 1) as f64;
+    let lo = pos.floor() as usize;
+    let hi = pos.ceil() as usize;
+    v[lo] + (v[hi] - v[lo]) * (pos - lo as f64)
+}
+
+pub fn median(values: &[f64]) -> f64 {
+    quantile(values, 0.5)
+}
+
+/// Arithmetic mean; 0 for no values.
+pub fn mean(values: &[f64]) -> f64 {
+    if values.is_empty() {
+        0.0
+    } else {
+        values.iter().sum::<f64>() / values.len() as f64
+    }
+}
+
+/// `num / den`, or 0 when `den` is 0.
+pub fn ratio(num: f64, den: f64) -> f64 {
+    if den == 0.0 {
+        0.0
+    } else {
+        num / den
+    }
+}
