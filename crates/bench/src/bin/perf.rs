@@ -7,8 +7,9 @@
 //!
 //! Runs the macro-benchmark suite (see `directload_bench::perf`), prints
 //! each scenario table plus the pipeline phase-time profile, and writes
-//! `BENCH_RESULTS.json` at the repo root. With `--check` it compares the
-//! fresh results against the checked-in `BENCH_BASELINE.json` and exits
+//! `BENCH_RESULTS.json` in the working directory (run it from the repo
+//! root). With `--check` it compares the fresh results against the
+//! checked-in `BENCH_BASELINE.json` (also resolved there) and exits
 //! non-zero on any deterministic-counter drift or >30% wall-clock drift.
 //! With `--rebaseline` it rewrites the baseline from the fresh results
 //! (deterministic cells plus the curated wall-gated cells).
@@ -17,10 +18,6 @@ use directload_bench::perf::{baseline_subset, pipeline_profile, run_suite, PerfC
 use perfrec::{compare, BenchReport, WALL_TOLERANCE};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-
-fn repo_root() -> PathBuf {
-    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../..")
-}
 
 fn usage() -> String {
     format!(
@@ -41,14 +38,15 @@ struct Args {
 }
 
 fn parse_args() -> Result<Args, String> {
-    let root = repo_root();
     let mut args = Args {
         scenarios: Vec::new(),
         cfg: PerfConfig::full(),
         check: false,
         rebaseline: false,
-        out: root.join("BENCH_RESULTS.json"),
-        baseline: root.join("BENCH_BASELINE.json"),
+        // Relative to the working directory, so a relocated build reads
+        // and writes the checkout it is run from (CI runs at the root).
+        out: PathBuf::from("BENCH_RESULTS.json"),
+        baseline: PathBuf::from("BENCH_BASELINE.json"),
     };
     let mut explicit_mode = false;
     let mut explicit_reps = None;

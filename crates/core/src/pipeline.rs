@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 /// Key-space prefixes: the three index families share URL/term keys, so
 /// they are namespaced inside a data center's Mint cluster (production
 /// runs them as separate tables).
-fn prefixed(kind: IndexKind, key: &[u8]) -> Bytes {
+pub(crate) fn prefixed(kind: IndexKind, key: &[u8]) -> Bytes {
     let tag = match kind {
         IndexKind::Forward => b'F',
         IndexKind::Summary => b'S',
@@ -338,34 +338,6 @@ impl DirectLoad {
         self.query(dc, IndexKind::Inverted, term, version)
     }
 
-    /// [`DirectLoad::get_inverted`] on behalf of a traced request: the
-    /// Mint fan-out and any engine tracebacks carry `trace_id` on the
-    /// wall trace ring (see [`mint::Mint::get_traced`]). `trace_id` 0 is
-    /// exactly [`DirectLoad::get_inverted`].
-    pub fn get_inverted_traced(
-        &self,
-        dc: DataCenterId,
-        term: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime)> {
-        self.query_traced(dc, IndexKind::Inverted, term, version, trace_id)
-    }
-
-    /// [`DirectLoad::get_inverted_traced`] plus the read's
-    /// [`obs::ReadAttribution`]: which group owned the key and what each
-    /// consulted replica spent (see [`mint::Mint::get_costed`]).
-    pub fn get_inverted_costed(
-        &self,
-        dc: DataCenterId,
-        term: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime, obs::ReadAttribution)> {
-        let cluster = self.cluster(dc)?;
-        Ok(cluster.get_costed(&prefixed(IndexKind::Inverted, term), version, trace_id)?)
-    }
-
     /// Looks up a forward term list at `dc` (stored everywhere).
     pub fn get_forward(
         &self,
@@ -383,19 +355,8 @@ impl DirectLoad {
         key: &[u8],
         version: u64,
     ) -> Result<(Option<Bytes>, SimTime)> {
-        self.query_traced(dc, kind, key, version, 0)
-    }
-
-    fn query_traced(
-        &self,
-        dc: DataCenterId,
-        kind: IndexKind,
-        key: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime)> {
         let cluster = self.cluster(dc)?;
-        Ok(cluster.get_traced(&prefixed(kind, key), version, trace_id)?)
+        Ok(cluster.get(&prefixed(kind, key), version)?)
     }
 
     /// Scans one index family at `dc` for keys starting with `prefix`,

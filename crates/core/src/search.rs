@@ -13,10 +13,11 @@
 //! end the whole updating pipeline is for — and so consistency checks in
 //! tests can compare full query results across data centers and versions.
 
-use crate::pipeline::DirectLoad;
+use crate::pipeline::{prefixed, DirectLoad};
 use crate::Result;
 use bifrost::DataCenterId;
 use bytes::Bytes;
+use indexgen::IndexKind;
 use simclock::SimTime;
 use std::collections::HashMap;
 
@@ -78,30 +79,19 @@ impl DirectLoad {
         version: u64,
         top_k: usize,
     ) -> Result<RankedQuery> {
-        self.rank_traced(dc, terms, version, top_k, 0)
-    }
-
-    /// [`DirectLoad::rank`] on behalf of a traced request: every
-    /// posting-list fetch carries `trace_id` down through Mint's
-    /// replicated read and the engine's traceback, so the assembled
-    /// trace shows where a slow query spent its storage time.
-    /// `trace_id` 0 is exactly [`DirectLoad::rank`].
-    pub fn rank_traced(
-        &self,
-        dc: DataCenterId,
-        terms: &[&[u8]],
-        version: u64,
-        top_k: usize,
-        trace_id: u64,
-    ) -> Result<RankedQuery> {
-        self.rank_costed(dc, terms, version, top_k, trace_id)
+        self.rank_costed(dc, terms, version, top_k, 0)
             .map(|(ranked, _)| ranked)
     }
 
-    /// [`DirectLoad::rank_traced`] plus one [`obs::ReadAttribution`] per
+    /// [`DirectLoad::rank`] plus one [`obs::ReadAttribution`] per
     /// posting-list fetch: which Mint group owned each term and what
     /// each consulted replica spent. The serve front-end feeds these
     /// into its per-shard cost accumulators and hot-key sketches.
+    ///
+    /// A non-zero `trace_id` marks a traced request: every posting-list
+    /// fetch carries it down through Mint's replicated read and the
+    /// engine's traceback, so the assembled trace shows where a slow
+    /// query spent its storage time.
     pub fn rank_costed(
         &self,
         dc: DataCenterId,
@@ -114,8 +104,9 @@ impl DirectLoad {
         let mut latency = SimTime::ZERO;
         let mut attributions = Vec::with_capacity(terms.len());
         for term in terms {
+            let key = prefixed(IndexKind::Inverted, term);
             let (postings, lat, attribution) =
-                self.get_inverted_costed(dc, term, version, trace_id)?;
+                self.cluster(dc)?.get_costed(&key, version, trace_id)?;
             latency += lat;
             attributions.push(attribution);
             let Some(postings) = postings else { continue };

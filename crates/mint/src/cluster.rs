@@ -394,12 +394,7 @@ impl Mint {
     /// with the same sink.
     pub fn attach_trace(&mut self, sink: &obs::TraceSink, prefix: &str) {
         self.trace = Some((sink.clone(), prefix.to_string()));
-        for node in &self.nodes {
-            let mut guard = node.engine.write();
-            if let Some(engine) = guard.as_mut() {
-                engine.attach_trace(sink, &format!("{prefix}/n{}", node.id.0));
-            }
-        }
+        self.reattach_all();
     }
 
     /// Attaches a wall-clock trace sink to every node's engine, labeled
@@ -408,12 +403,7 @@ impl Mint {
     /// with the same sink, exactly like [`Mint::attach_trace`].
     pub fn attach_wall_trace(&mut self, sink: &obs::TraceSink, prefix: &str) {
         self.wall_trace = Some((sink.clone(), prefix.to_string()));
-        for node in &self.nodes {
-            let mut guard = node.engine.write();
-            if let Some(engine) = guard.as_mut() {
-                engine.attach_wall_trace(sink, &format!("{prefix}/n{}", node.id.0));
-            }
-        }
+        self.reattach_all();
     }
 
     /// Attaches the shared WAN/fabric byte ledger; catch-up transfers
@@ -437,20 +427,25 @@ impl Mint {
         self.wan_class
     }
 
+    /// Re-instruments every node's engine with the attached sinks.
+    fn reattach_all(&self) {
+        for node in &self.nodes {
+            self.reattach_trace(node.id);
+        }
+    }
+
     /// Re-instruments one node's engine after recovery or addition.
     fn reattach_trace(&self, node: NodeId) {
         let state = &self.nodes[node.0 as usize];
+        let mut guard = state.engine.write();
+        let Some(engine) = guard.as_mut() else {
+            return;
+        };
         if let Some((sink, prefix)) = &self.trace {
-            let mut guard = state.engine.write();
-            if let Some(engine) = guard.as_mut() {
-                engine.attach_trace(sink, &format!("{prefix}/n{}", node.0));
-            }
+            engine.attach_trace(sink, &format!("{prefix}/n{}", node.0));
         }
         if let Some((sink, prefix)) = &self.wall_trace {
-            let mut guard = state.engine.write();
-            if let Some(engine) = guard.as_mut() {
-                engine.attach_wall_trace(sink, &format!("{prefix}/n{}", node.0));
-            }
+            engine.attach_wall_trace(sink, &format!("{prefix}/n{}", node.0));
         }
     }
 
@@ -653,42 +648,32 @@ impl Mint {
     /// The reported latency is the winning live response's, or the
     /// slowest responder's when absence had to be confirmed.
     pub fn get(&self, key: &[u8], version: u64) -> Result<(Option<Bytes>, SimTime)> {
-        self.get_traced(key, version, 0)
-    }
-
-    /// [`Mint::get`] on behalf of a traced request: the whole fan-out is
-    /// wrapped in a wall-clock `get` span carrying `trace_id` (amount =
-    /// replicas consulted), and each engine read propagates the id so
-    /// deduplication tracebacks surface in the assembled trace.
-    /// `trace_id` 0 is exactly [`Mint::get`].
-    pub fn get_traced(
-        &self,
-        key: &[u8],
-        version: u64,
-        trace_id: u64,
-    ) -> Result<(Option<Bytes>, SimTime)> {
-        self.get_costed(key, version, trace_id)
+        self.get_costed(key, version, 0)
             .map(|(value, latency, _)| (value, latency))
     }
 
-    /// [`Mint::get_traced`] plus the read's [`obs::ReadAttribution`]:
-    /// the owning group, the total [`obs::ReadCost`], and the per-node
-    /// split (each consulted replica is charged the lookups, bytes,
-    /// traceback hops, and retries it actually performed). The
-    /// attribution is returned even on a miss — absence confirmation
-    /// costs the same fan-out as a hit.
+    /// [`Mint::get`] plus the read's [`obs::ReadAttribution`]: the
+    /// owning group, the total [`obs::ReadCost`], and the per-node split
+    /// (each consulted replica is charged the lookups, bytes, traceback
+    /// hops, and retries it actually performed). The attribution is
+    /// returned even on a miss — absence confirmation costs the same
+    /// fan-out as a hit.
+    ///
+    /// A non-zero `trace_id` marks a traced request: the whole fan-out is
+    /// wrapped in a wall-clock `get` span carrying it (amount = replicas
+    /// consulted), and each engine read propagates the id so
+    /// deduplication tracebacks surface in the assembled trace.
     pub fn get_costed(
         &self,
         key: &[u8],
         version: u64,
         trace_id: u64,
     ) -> Result<(Option<Bytes>, SimTime, obs::ReadAttribution)> {
-        let mut span = match (&self.wall_trace, trace_id) {
-            (Some((sink, prefix)), id) if id != 0 => {
-                Some(sink.span_traced(obs::SpanKind::Get, prefix, id))
-            }
-            _ => None,
-        };
+        let mut span = self
+            .wall_trace
+            .as_ref()
+            .filter(|_| trace_id != 0)
+            .map(|(sink, prefix)| sink.span_traced(obs::SpanKind::Get, prefix, trace_id));
         let readers = self.group_readers(key);
         if let Some(s) = span.as_mut() {
             s.set_amount(readers.len() as u64);
@@ -716,7 +701,7 @@ impl Mint {
             let mut attempts = 0u64;
             let status = loop {
                 attempts += 1;
-                let (result, probe) = engine.status_probed(key, version, trace_id);
+                let (result, probe) = engine.status(key, version, trace_id);
                 node_cost.absorb(&probe);
                 match result {
                     Ok(status) => break Some(status),

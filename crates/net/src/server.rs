@@ -634,7 +634,7 @@ fn dispatch(
             let outcome = match guard.as_ref() {
                 Some(frontend) => frontend
                     .submitter()
-                    .submit_query_traced(dc, terms, version, top_k, trace_id, responder),
+                    .submit_traced(dc, terms, version, top_k, trace_id, responder),
                 None => Submitted::Shed(Some(responder)),
             };
             if let Submitted::Shed(_) = outcome {

@@ -200,18 +200,6 @@ pub struct TraceCtx {
     pub origin: u64,
 }
 
-impl TraceCtx {
-    /// An untraced context (id 0): span emission is skipped.
-    pub fn untraced() -> TraceCtx {
-        TraceCtx::default()
-    }
-
-    /// True when this context carries a real trace id.
-    pub fn is_traced(&self) -> bool {
-        self.trace_id != 0
-    }
-}
-
 /// One recorded span or instantaneous event.
 ///
 /// `amount` is a kind-specific payload: bytes saved for `dedup`, slices
@@ -399,8 +387,7 @@ impl TraceSink {
 
     /// Records an instantaneous event (untraced; `trace_id` 0).
     pub fn event(&self, kind: SpanKind, label: &str, amount: u64) {
-        let now = self.now_ns();
-        self.push(kind, label.to_string(), now, now, amount, 0);
+        self.event_traced(kind, label, amount, 0);
     }
 
     /// Records an instantaneous event correlated to a request.
@@ -411,14 +398,7 @@ impl TraceSink {
 
     /// Opens a span that records itself on drop (untraced; `trace_id` 0).
     pub fn span(&self, kind: SpanKind, label: &str) -> SpanGuard<'_> {
-        SpanGuard {
-            sink: self,
-            kind,
-            label: label.to_string(),
-            start_ns: self.now_ns(),
-            amount: 0,
-            trace_id: 0,
-        }
+        self.span_traced(kind, label, 0)
     }
 
     /// Opens a span correlated to a request; [`assemble`] later stitches

@@ -150,123 +150,81 @@ impl QinDb {
     /// versions when the item was deduplicated. `None` when the key or
     /// version is absent or deleted.
     pub fn get(&self, key: &[u8], version: u64) -> Result<Option<Bytes>> {
-        self.get_traced(key, version, 0)
-    }
-
-    /// [`QinDb::get`] on behalf of a traced request: a chain walk
-    /// additionally emits a wall-clock `traceback` event carrying
-    /// `trace_id`, so [`obs::assemble`] shows the engine hop inside the
-    /// request's cross-layer path. `trace_id` 0 behaves exactly like
-    /// [`QinDb::get`].
-    pub fn get_traced(&self, key: &[u8], version: u64, trace_id: u64) -> Result<Option<Bytes>> {
-        self.stats.gets.add(1);
-        let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
-        let Some(entry) = self.table.get(&vk).copied() else {
-            self.stats.gets_not_found.add(1);
-            return Ok(None);
-        };
-        if entry.deleted {
-            self.stats.gets_not_found.add(1);
-            return Ok(None);
-        }
-        let (loc, steps) = if !entry.deduplicated {
-            (entry.location, 0)
-        } else {
-            match self.table.trace_back_value(key, version) {
-                Some((_, loc, steps)) => (loc, steps),
-                None => {
-                    // Dangling dedup chain: no value-bearing ancestor.
-                    self.stats.gets_not_found.add(1);
-                    return Ok(None);
-                }
-            }
-        };
-        if steps > 0 {
-            self.stats.gets_traced.add(1);
-            self.stats.traceback_steps.add(steps as u64);
-            if let Some((sink, label)) = &self.trace {
-                sink.event(obs::SpanKind::Traceback, label, steps as u64);
-            }
-            if trace_id != 0 {
-                if let Some((sink, label)) = &self.wall_trace {
-                    sink.event_traced(obs::SpanKind::Traceback, label, steps as u64, trace_id);
-                }
+        match self.status(key, version, 0).0? {
+            KeyStatus::Live { value, .. } => Ok(Some(value)),
+            KeyStatus::Missing | KeyStatus::Deleted => {
+                // `status` counts only reads that resolve; a plain GET
+                // also counts its misses.
+                self.stats.gets.add(1);
+                self.stats.gets_not_found.add(1);
+                Ok(None)
             }
         }
-        let value = self.read_put_value(loc)?;
-        match &value {
-            Some(v) => self.stats.user_read_bytes.add(v.len() as u64),
-            None => {
-                return Err(QinDbError::Inconsistent(
-                    "traceback target record carries no value",
-                ))
-            }
-        }
-        Ok(value)
     }
 
     /// Distinguishes the three states a `k/t` can be in — a replicated
     /// store needs to know whether this node *knows about a deletion*
     /// (authoritative: versions are deleted at most once and never
     /// rewritten afterwards) or simply never received the pair.
-    pub fn status(&self, key: &[u8], version: u64) -> Result<KeyStatus> {
-        self.status_traced(key, version, 0)
-    }
-
-    /// [`QinDb::status`] on behalf of a traced request; the inner read
-    /// propagates `trace_id` (see [`QinDb::get_traced`]).
-    pub fn status_traced(&self, key: &[u8], version: u64, trace_id: u64) -> Result<KeyStatus> {
-        self.status_probed(key, version, trace_id).0
-    }
-
-    /// [`QinDb::status_traced`] plus what the lookup cost: one storage
-    /// read, the payload bytes it returned, and the dedup-traceback hops
-    /// it walked. The probe is reported even when the status is
-    /// `Missing`/`Deleted` or the read errors — the work was still done,
-    /// and load attribution must account for it.
-    pub fn status_probed(
+    ///
+    /// Also returns what the lookup cost: one storage read, the payload
+    /// bytes it returned, and the dedup-traceback hops it walked. The
+    /// cost is reported even when the status is `Missing`/`Deleted` or
+    /// the read errors — the work was still done, and load attribution
+    /// must account for it. Engine counters move only for a read that
+    /// resolves to a value record, so a replica that misses in a Mint
+    /// fan-out counts nothing.
+    ///
+    /// A non-zero `trace_id` marks a traced request: a chain walk
+    /// additionally emits a wall-clock `traceback` event carrying it, so
+    /// [`obs::assemble`] shows the engine hop inside the request's
+    /// cross-layer path.
+    pub fn status(
         &self,
         key: &[u8],
         version: u64,
         trace_id: u64,
     ) -> (Result<KeyStatus>, obs::ReadCost) {
-        let mut probe = obs::ReadCost {
+        let mut cost = obs::ReadCost {
             storage_reads: 1,
             ..obs::ReadCost::default()
         };
         let vk = VersionedKey::new(Bytes::copy_from_slice(key), version);
         let entry = match self.table.get(&vk).copied() {
-            None => return (Ok(KeyStatus::Missing), probe),
-            Some(e) if e.deleted => return (Ok(KeyStatus::Deleted), probe),
+            None => return (Ok(KeyStatus::Missing), cost),
+            Some(e) if e.deleted => return (Ok(KeyStatus::Deleted), cost),
             Some(e) => e,
         };
-        let resolved_version = if entry.deduplicated {
+        let (resolved_version, loc, steps) = if entry.deduplicated {
             match self.table.trace_back_value(key, version) {
-                Some((v, _, steps)) => {
-                    probe.traceback_hops = steps as u64;
-                    v
-                }
+                Some(found) => found,
                 // Dangling dedup chain: the item exists but no value
                 // resolves here — another replica may have the ancestor.
-                None => return (Ok(KeyStatus::Missing), probe),
+                None => return (Ok(KeyStatus::Missing), cost),
             }
         } else {
-            version
+            (version, entry.location, 0)
         };
-        match self.get_traced(key, version, trace_id) {
-            Ok(Some(value)) => {
-                probe.bytes = value.len() as u64;
-                (
-                    Ok(KeyStatus::Live {
-                        value,
-                        resolved_version,
-                    }),
-                    probe,
-                )
+        self.stats.gets.add(1);
+        if steps > 0 {
+            cost.traceback_hops = u64::from(steps);
+            self.stats.gets_traced.add(1);
+            self.stats.traceback_steps.add(u64::from(steps));
+            if let Some((sink, label)) = &self.trace {
+                sink.event(obs::SpanKind::Traceback, label, u64::from(steps));
             }
-            Ok(None) => (Ok(KeyStatus::Missing), probe),
-            Err(e) => (Err(e), probe),
+            if let Some((sink, label)) = self.wall_trace.as_ref().filter(|_| trace_id != 0) {
+                sink.event_traced(obs::SpanKind::Traceback, label, u64::from(steps), trace_id);
+            }
         }
+        let result = self.read_value(loc).map(|value| {
+            cost.bytes = value.len() as u64;
+            KeyStatus::Live {
+                value,
+                resolved_version,
+            }
+        });
+        (result, cost)
     }
 
     /// DEL(k/t). Sets the `d` flag in the memtable, appends a durable
@@ -326,17 +284,8 @@ impl QinDb {
                     None => continue, // dangling dedup chain
                 }
             };
-            match self.read_put_value(loc)? {
-                Some(value) => {
-                    self.stats.user_read_bytes.add(value.len() as u64);
-                    out.push((key, v, value));
-                }
-                None => {
-                    return Err(QinDbError::Inconsistent(
-                        "scan target record carries no value",
-                    ))
-                }
-            }
+            let value = self.read_value(loc)?;
+            out.push((key, v, value));
         }
         Ok(out)
     }
@@ -987,7 +936,9 @@ impl QinDb {
         Ok(loc)
     }
 
-    fn read_put_value(&self, loc: ValueLocation) -> Result<Option<Bytes>> {
+    /// Reads the value bytes of the put record at `loc` (a traceback
+    /// target or a full item) and counts them as user reads.
+    fn read_value(&self, loc: ValueLocation) -> Result<Bytes> {
         let data = self
             .aof
             .read(loc.file, loc.offset as u64, loc.len as usize)?;
@@ -995,12 +946,23 @@ impl QinDb {
             file: loc.file,
             offset: loc.offset as u64,
         })?;
-        match record {
-            Record::Put { value, .. } => Ok(value),
-            Record::Del { .. } => Err(QinDbError::Inconsistent(
-                "value location points at a tombstone",
-            )),
-        }
+        let value = match record {
+            Record::Put {
+                value: Some(value), ..
+            } => value,
+            Record::Put { value: None, .. } => {
+                return Err(QinDbError::Inconsistent(
+                    "value location points at a deduplicated record",
+                ))
+            }
+            Record::Del { .. } => {
+                return Err(QinDbError::Inconsistent(
+                    "value location points at a tombstone",
+                ))
+            }
+        };
+        self.stats.user_read_bytes.add(value.len() as u64);
+        Ok(value)
     }
 
     /// Recomputes disk-liveness for every version of `key` and adjusts
@@ -1088,6 +1050,63 @@ mod tests {
         let s = db.stats();
         assert_eq!(s.gets_traced, 2);
         assert_eq!(s.traceback_steps, 3); // 2 + 1
+    }
+
+    /// Pins the read counters placement's load reports are built from:
+    /// `get` counts every lookup and its misses, while `status` (the Mint
+    /// fan-out read) counts only pairs that resolve to a value.
+    #[test]
+    fn read_counters_for_live_dedup_deleted_dangling_and_missing_pairs() {
+        let mut db = small_engine();
+        db.put(b"live", 1, Some(b"abc")).unwrap();
+        db.put(b"dup", 1, Some(b"wxyz")).unwrap();
+        db.put(b"dup", 2, None).unwrap();
+        db.put(b"gone", 1, Some(b"q")).unwrap();
+        db.del(b"gone", 1).unwrap();
+        db.put(b"orphan", 1, None).unwrap();
+        let pairs: [(&[u8], u64); 5] = [
+            (b"live", 1),
+            (b"dup", 2),
+            (b"gone", 1),
+            (b"orphan", 1),
+            (b"none", 1),
+        ];
+        // [gets, gets_not_found, gets_traced, traceback_steps, user_read_bytes]
+        let counters = |db: &QinDb| {
+            let s = db.stats();
+            [
+                s.gets,
+                s.gets_not_found,
+                s.gets_traced,
+                s.traceback_steps,
+                s.user_read_bytes,
+            ]
+        };
+        let statuses: Vec<_> = pairs.iter().map(|&(k, v)| db.status(k, v, 0)).collect();
+        assert_eq!(counters(&db), [2, 0, 1, 1, 7]);
+        for &(k, v) in &pairs {
+            db.get(k, v).unwrap();
+        }
+        // `get` adds all five lookups and its three misses.
+        assert_eq!(counters(&db), [7, 3, 2, 2, 14]);
+        let live = |value: &[u8], resolved_version| KeyStatus::Live {
+            value: Bytes::copy_from_slice(value),
+            resolved_version,
+        };
+        let expected = [
+            (live(b"abc", 1), 3, 0),
+            (live(b"wxyz", 1), 4, 1),
+            (KeyStatus::Deleted, 0, 0),
+            (KeyStatus::Missing, 0, 0),
+            (KeyStatus::Missing, 0, 0),
+        ];
+        for ((status, cost), (want, bytes, hops)) in statuses.into_iter().zip(expected) {
+            assert_eq!(status.unwrap(), want);
+            assert_eq!(
+                (cost.storage_reads, cost.bytes, cost.traceback_hops),
+                (1, bytes, hops)
+            );
+        }
     }
 
     #[test]

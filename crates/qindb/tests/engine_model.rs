@@ -1,10 +1,10 @@
 //! Model-based property test: QinDB must agree with a trivial in-memory
 //! model of the paper's mutated-operation semantics, across arbitrary
 //! interleavings of PUT (full and deduplicated), DEL, GET, forced GC, and
-//! crash+recovery.
+//! crash+recovery. Every read goes through both `get` and `status`.
 
 use proptest::prelude::*;
-use qindb::{QinDb, QinDbConfig};
+use qindb::{KeyStatus, QinDb, QinDbConfig};
 use simclock::SimClock;
 use ssdsim::{Device, DeviceConfig, Geometry, LatencyModel};
 use std::collections::BTreeMap;
@@ -77,6 +77,30 @@ impl Model {
     }
 }
 
+/// Reads `k/t` through both `get` and `status` and checks them against
+/// each other and the model: `Live` exactly when `get` finds a value
+/// (the same bytes the model resolves), `Deleted` only for a pair the
+/// model deleted, and one storage read per lookup.
+fn check_read(db: &QinDb, model: &Model, k: u8, t: u8) -> Result<(), TestCaseError> {
+    let got = db.get(&[k], t as u64).unwrap().map(|b| b.to_vec());
+    let (status, cost) = db.status(&[k], t as u64, 0);
+    prop_assert_eq!(cost.storage_reads, 1);
+    match status.unwrap() {
+        KeyStatus::Live { value, .. } => {
+            prop_assert_eq!(Some(value.to_vec()), got.clone(), "status({}/{})", k, t)
+        }
+        KeyStatus::Deleted => prop_assert!(
+            got.is_none() && model.entries.get(&(k, t)).is_some_and(|e| e.1),
+            "Deleted for {}/{}, which the model did not delete",
+            k,
+            t
+        ),
+        KeyStatus::Missing => prop_assert!(got.is_none(), "Missing for {}/{}", k, t),
+    }
+    prop_assert_eq!(got, model.get(k, t), "GET({}/{})", k, t);
+    Ok(())
+}
+
 #[derive(Debug, Clone)]
 enum Op {
     PutFull(u8, u8, Vec<u8>),
@@ -127,14 +151,7 @@ proptest! {
                     db.del(&[k], t as u64).unwrap();
                     model.del(k, t);
                 }
-                Op::Get(k, t) => {
-                    let got = db.get(&[k], t as u64).unwrap();
-                    let want = model.get(k, t);
-                    prop_assert_eq!(
-                        got.as_ref().map(|b| b.to_vec()), want,
-                        "GET({}/{})", k, t
-                    );
-                }
+                Op::Get(k, t) => check_read(&db, &model, k, t)?,
                 Op::ForceGc => {
                     db.force_gc().unwrap();
                 }
@@ -154,9 +171,8 @@ proptest! {
             }
         }
         // Final sweep: every (key, version) the model knows must agree.
-        for (&(k, t), _) in model.entries.iter() {
-            let got = db.get(&[k], t as u64).unwrap().map(|b| b.to_vec());
-            prop_assert_eq!(got, model.get(k, t), "final GET({}/{})", k, t);
+        for &(k, t) in model.entries.keys() {
+            check_read(&db, &model, k, t)?;
         }
     }
 }

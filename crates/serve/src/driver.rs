@@ -53,18 +53,6 @@ pub fn run_open_loop(
     cache: &SummaryCache,
     driver: &DriverConfig,
 ) -> ServeReport {
-    run_open_loop_traced(engine, frontend_cfg, cache, driver, None)
-}
-
-/// [`run_open_loop`] with an optional wall-clock trace sink; workers
-/// emit a `serve` span per response (see [`frontend::run_traced`]).
-pub fn run_open_loop_traced(
-    engine: &DirectLoad,
-    frontend_cfg: &FrontendConfig,
-    cache: &SummaryCache,
-    driver: &DriverConfig,
-    trace: Option<&obs::TraceSink>,
-) -> ServeReport {
     assert!(driver.qps > 0.0, "offered load must be positive");
     let version = engine.version();
     assert!(version > 0, "serve after at least one run_version()");
@@ -78,7 +66,7 @@ pub fn run_open_loop_traced(
     let queries = workload.take(driver.requests);
     let dcs = DataCenterId::all();
     let interval = Duration::from_secs_f64(1.0 / driver.qps);
-    frontend::run_traced(engine, frontend_cfg, cache, trace, |submitter| {
+    frontend::run(engine, frontend_cfg, cache, |submitter| {
         let start = Instant::now();
         for (i, query) in queries.into_iter().enumerate() {
             // Open loop: arrival times are fixed up front; a late

@@ -406,7 +406,7 @@ impl LiveStats {
 }
 
 /// Shared submission state: queues, the stale-response cache, and the
-/// live tallies. Owned on the stack by [`run_traced`] and behind an
+/// live tallies. Owned on the stack by [`run`] and behind an
 /// `Arc` by the long-running [`Frontend`].
 struct Core {
     cfg: FrontendConfig,
@@ -539,14 +539,13 @@ impl Submitter<'_> {
         top_k: usize,
         responder: Responder,
     ) -> Submitted {
-        self.core
-            .submit(dc, terms, version, top_k, 0, Some(responder))
+        self.submit_traced(dc, terms, version, top_k, 0, responder)
     }
 
     /// [`Submitter::submit_query`] carrying a request correlation id:
     /// the worker's `serve` span and every storage read below it emit
     /// with `trace_id`, so `obs::assemble` reconstructs the full path.
-    pub fn submit_query_traced(
+    pub fn submit_traced(
         &self,
         dc: DataCenterId,
         terms: Vec<Bytes>,
@@ -568,32 +567,6 @@ impl Submitter<'_> {
     pub fn offered(&self) -> u64 {
         self.core.live.offered()
     }
-}
-
-/// Folds one completed request into its shard's attribution bucket:
-/// every query term feeds the hot-key sketch (weight 1), and the
-/// request's cost record lands in the accumulator under the fronting
-/// DC's label.
-fn record_attribution(
-    attr: &Mutex<ShardAttribution>,
-    dc: DataCenterId,
-    terms: &[Bytes],
-    queue_us: u64,
-    service_us: u64,
-    reads: Vec<obs::ReadAttribution>,
-) {
-    let mut shard = attr.lock().unwrap_or_else(|e| e.into_inner());
-    for term in terms {
-        shard.sketch.offer(term, 1);
-    }
-    shard.acc.record(
-        &format!("dc{}.{}", dc.region.0, dc.slot),
-        &obs::Cost {
-            queue_us,
-            service_us,
-            reads,
-        },
-    );
 }
 
 fn worker_loop(
@@ -624,90 +597,70 @@ fn worker_loop(
             .map(|(r, reads)| (r.ranked, reads))
             .unwrap_or_default();
         let key: ResponseKey = (req.dc.region.0, req.terms.clone());
-        if Instant::now() >= req.deadline {
-            // Deadline breached while queued: respond degraded — cached
-            // summaries only, no storage fetch, no modeled wait.
-            let hits: Vec<SearchHit> = ranked
-                .into_iter()
-                .map(|(url, matched_terms)| {
-                    let summary = cache.peek(req.dc, &url, req.version).flatten();
-                    SearchHit {
-                        url,
-                        matched_terms,
-                        summary,
-                    }
-                })
-                .collect();
-            let hits = Arc::new(hits);
-            responses.insert(key, Arc::clone(&hits));
-            // Close the serve span before responding: writing the reply
-            // is the net layer's time, and a traced client may assemble
-            // the trace the instant the response lands.
-            if let Some(mut s) = span.take() {
-                s.set_amount(1);
-            }
-            if let Some(respond) = req.responder.take() {
-                respond(QueryReply {
-                    hits,
-                    degraded: true,
-                });
-            }
-            live.served_stale.fetch_add(1, Ordering::Relaxed);
-            live.record_latency(req.enqueued.elapsed().as_micros() as u64);
-            // The degraded path still ranked, so its storage reads are
-            // attributed like any other request's.
-            record_attribution(
-                attr,
-                req.dc,
-                &req.terms,
-                queue_us,
-                dequeued.elapsed().as_micros() as u64,
-                reads,
-            );
-            continue;
-        }
+        // Deadline breached while queued: respond degraded — cached
+        // summaries only, no storage fetch, no modeled wait.
+        let degraded = Instant::now() >= req.deadline;
         let mut misses = 0u32;
-        let mut hits = Vec::with_capacity(ranked.len());
-        for (url, matched_terms) in ranked {
-            let (summary, hit) = match cache.get_or_fetch(engine, req.dc, &url, req.version) {
-                Ok((summary, hit, _sim_latency)) => (summary, hit),
-                Err(_) => (None, false),
-            };
-            if !hit {
-                misses += 1;
+        let hits: Vec<SearchHit> = ranked
+            .into_iter()
+            .map(|(url, matched_terms)| {
+                let summary = if degraded {
+                    cache.peek(req.dc, &url, req.version).flatten()
+                } else {
+                    let (summary, hit) = cache
+                        .get_or_fetch(engine, req.dc, &url, req.version)
+                        .map_or((None, false), |(summary, hit, _sim_latency)| (summary, hit));
+                    misses += u32::from(!hit);
+                    summary
+                };
+                SearchHit {
+                    url,
+                    matched_terms,
+                    summary,
+                }
+            })
+            .collect();
+        if !degraded {
+            let service = cfg.rank_service * req.terms.len() as u32 + cfg.summary_service * misses;
+            if !service.is_zero() {
+                std::thread::sleep(service);
             }
-            hits.push(SearchHit {
-                url,
-                matched_terms,
-                summary,
-            });
-        }
-        let service = cfg.rank_service * req.terms.len() as u32 + cfg.summary_service * misses;
-        if !service.is_zero() {
-            std::thread::sleep(service);
         }
         let hits = Arc::new(hits);
         responses.insert(key, Arc::clone(&hits));
-        // Same ordering as the degraded path: span closed, then respond.
+        // Close the serve span before responding: writing the reply is
+        // the net layer's time, and a traced client may assemble the
+        // trace the instant the response lands.
         if let Some(mut s) = span.take() {
             s.set_amount(1);
         }
         if let Some(respond) = req.responder.take() {
-            respond(QueryReply {
-                hits,
-                degraded: false,
-            });
+            respond(QueryReply { hits, degraded });
         }
-        live.served.fetch_add(1, Ordering::Relaxed);
+        let answered = if degraded {
+            &live.served_stale
+        } else {
+            &live.served
+        };
+        answered.fetch_add(1, Ordering::Relaxed);
         live.record_latency(req.enqueued.elapsed().as_micros() as u64);
-        record_attribution(
-            attr,
-            req.dc,
-            &req.terms,
+        // Attribution (the degraded path still ranked, so its storage
+        // reads count like any other request's): every query term feeds
+        // the shard's hot-key sketch (weight 1), and the request's cost
+        // record lands in its accumulator under the fronting DC's label.
+        let service_us = dequeued.elapsed().as_micros() as u64;
+        let mut bucket = attr.lock().unwrap_or_else(|e| e.into_inner());
+        for term in &req.terms {
+            bucket.sketch.offer(term, 1);
+        }
+        let cost = obs::Cost {
             queue_us,
-            dequeued.elapsed().as_micros() as u64,
+            service_us,
             reads,
-        );
+        };
+        bucket
+            .acc
+            .record(&format!("dc{}.{}", req.dc.region.0, req.dc.slot), &cost);
     }
 }
 
@@ -727,40 +680,14 @@ pub fn run<F>(
 where
     F: FnOnce(&Submitter<'_>),
 {
-    run_traced(engine, cfg, cache, None, generator)
-}
-
-/// [`run`] with an optional wall-clock trace sink: each worker emits a
-/// `serve` span per response, labeled `serve/w<worker>`, so the phase
-/// profiler can attribute serving time alongside the pipeline phases.
-pub fn run_traced<F>(
-    engine: &DirectLoad,
-    cfg: &FrontendConfig,
-    cache: &SummaryCache,
-    trace: Option<&obs::TraceSink>,
-    generator: F,
-) -> ServeReport
-where
-    F: FnOnce(&Submitter<'_>),
-{
     let core = Core::new(*cfg);
     let hits_before = cache.hits();
     let misses_before = cache.misses();
-    let labels: Vec<String> = (0..core.queues.len())
-        .map(|i| format!("serve/w{i}"))
-        .collect();
     let start = Instant::now();
     let core_ref = &core;
     std::thread::scope(|s| {
-        let handles: Vec<_> = labels
-            .iter()
-            .enumerate()
-            .map(|(i, label)| {
-                s.spawn(move || {
-                    let t = trace.map(|t| (t, label.as_str()));
-                    worker_loop(engine, core_ref, cache, i, t)
-                })
-            })
+        let handles: Vec<_> = (0..core.queues.len())
+            .map(|i| s.spawn(move || worker_loop(engine, core_ref, cache, i, None)))
             .collect();
         generator(&Submitter { core: core_ref });
         core.close();
@@ -811,7 +738,7 @@ pub struct Frontend {
 impl Frontend {
     /// Spawns `cfg.workers` owned worker threads against `engine`. Each
     /// worker emits a `serve` span per response into `trace` when given,
-    /// labeled `serve/w<worker>` as in [`run_traced`].
+    /// labeled `serve/w<worker>`.
     pub fn start(
         engine: Arc<DirectLoad>,
         cfg: FrontendConfig,

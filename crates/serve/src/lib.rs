@@ -24,6 +24,14 @@
 //!   re-resolves group bindings the moment a placement cutover moves
 //!   the cluster's routing generation.
 //!
+//! Request tracing belongs to the long-running [`Frontend`] (the `net`
+//! server's core): started with a trace sink, its workers emit one
+//! `serve` span per response, and a query offered through
+//! [`Submitter::submit_traced`] carries its trace id down the single read
+//! path — `DirectLoad::rank_costed`, `Mint::get_costed`, `QinDb::status`.
+//! The in-process experiments ([`ServeExt::serve`], [`frontend::run`])
+//! run untraced.
+//!
 //! The whole stack is deterministic in its inputs (seeded workload,
 //! fixed arrival schedule); wall-clock latencies of course vary run to
 //! run, which is exactly what the histograms are for.
@@ -80,16 +88,6 @@ pub trait ServeExt {
     /// Same, but against a caller-owned cache (keep it warm across runs;
     /// call [`SummaryCache::invalidate_below`] after each publish).
     fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport;
-
-    /// Like [`ServeExt::serve_with_cache`], additionally emitting a
-    /// wall-clock `serve` span per response into `trace` (labeled
-    /// `serve/w<worker>`) for the phase-time profiler.
-    fn serve_traced(
-        &self,
-        cfg: &ServeConfig,
-        cache: &SummaryCache,
-        trace: &obs::TraceSink,
-    ) -> ServeReport;
 }
 
 impl ServeExt for DirectLoad {
@@ -100,14 +98,5 @@ impl ServeExt for DirectLoad {
 
     fn serve_with_cache(&self, cfg: &ServeConfig, cache: &SummaryCache) -> ServeReport {
         driver::run_open_loop(self, &cfg.frontend, cache, &cfg.driver)
-    }
-
-    fn serve_traced(
-        &self,
-        cfg: &ServeConfig,
-        cache: &SummaryCache,
-        trace: &obs::TraceSink,
-    ) -> ServeReport {
-        driver::run_open_loop_traced(self, &cfg.frontend, cache, &cfg.driver, Some(trace))
     }
 }

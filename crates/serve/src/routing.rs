@@ -48,13 +48,6 @@ impl RoutingView {
         self.refreshes.load(std::sync::atomic::Ordering::Relaxed)
     }
 
-    /// The routing generation this view last observed for `dc`, if it
-    /// has resolved against it at all.
-    pub fn cached_generation(&self, dc: DataCenterId) -> Option<u64> {
-        let dcs = self.dcs.lock().unwrap_or_else(|e| e.into_inner());
-        dcs.get(&dc).map(|s| s.generation)
-    }
-
     /// Resolves the routed members of `key`'s group at `dc`, refreshing
     /// the snapshot first iff the cluster's routing generation moved
     /// since the last resolve. Returns the generation the answer is
